@@ -23,10 +23,6 @@
 #include <vector>
 
 #include "common/json_writer.h"
-#include "core/ab_recommender.h"
-#include "core/allocation.h"
-#include "core/phase_classifier.h"
-#include "core/sb_recommender.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
 
@@ -49,25 +45,14 @@ struct RunResult {
   bool books_balance = true;
 };
 
-struct TrainedComponents {
-  std::unique_ptr<core::PhaseClassifier> classifier;
-  std::unique_ptr<core::AbRecommender> ab;
-  std::unique_ptr<core::SbRecommender> sb;
-  core::HybridAllocationStrategy strategy;
-};
-
-RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
+RunResult RunSessions(const sim::Study& study,
+                      const bench::TrainedComponents& trained,
                       std::size_t num_sessions, std::size_t batch_tiles) {
   SimClock clock;
   array::QueryCostModel costs(array::CalibratedPaperCosts(), 5);
   storage::SimulatedDbmsStore store(study.dataset.pyramid, costs, &clock);
 
-  server::SharedPredictionComponents shared;
-  shared.classifier = trained.classifier.get();
-  shared.ab = trained.ab.get();
-  shared.sb = trained.sb.get();
-  shared.strategy = &trained.strategy;
-  shared.engine_options.prefetch_k = 5;
+  const server::SharedPredictionComponents shared = trained.Shared(5);
 
   constexpr std::size_t kThreads = 8;
   server::SessionManagerOptions options;
@@ -80,8 +65,6 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
   options.shared_cache.num_shards = 4;
   options.shared_cache.admission.policy = core::AdmissionPolicyKind::kTinyLfu;
   options.shared_cache.admission.sketch_counters = 1024;
-  options.single_flight = true;
-  options.use_prefetch_scheduler = true;
   options.prefetch_scheduler.batch.max_batch_tiles = batch_tiles;
   options.prefetch_scheduler.nominal_tile_bytes =
       study.dataset.pyramid->NominalTileBytes();
@@ -161,20 +144,7 @@ int main() {
       "SciDB-style multi-range fetch amortization over the shared scheduler");
   const auto& study = bench::GetStudy();
 
-  TrainedComponents trained;
-  {
-    auto classifier = core::PhaseClassifier::Train(study.traces);
-    auto ab = core::AbRecommender::Make();
-    if (!classifier.ok() || !ab.ok() || !ab->Train(study.traces).ok()) {
-      std::cerr << "ERROR: training failed\n";
-      return 1;
-    }
-    trained.classifier =
-        std::make_unique<core::PhaseClassifier>(std::move(*classifier));
-    trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
-    trained.sb = std::make_unique<core::SbRecommender>(
-        &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
-  }
+  const bench::TrainedComponents trained = bench::TrainComponents(study);
 
   eval::TablePrinter table({"Sessions", "Mode", "Requests", "Hit rate",
                             "Round trips", "Tiles", "Batches", "p99 ms",

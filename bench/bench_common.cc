@@ -37,6 +37,33 @@ const sim::Study& GetStudy() {
   return study;
 }
 
+server::SharedPredictionComponents TrainedComponents::Shared(
+    std::size_t prefetch_k) const {
+  server::SharedPredictionComponents shared;
+  shared.classifier = classifier.get();
+  shared.ab = ab.get();
+  shared.sb = sb.get();
+  shared.strategy = &strategy;
+  shared.engine_options.prefetch_k = prefetch_k;
+  return shared;
+}
+
+TrainedComponents TrainComponents(const sim::Study& study) {
+  auto classifier = core::PhaseClassifier::Train(study.traces);
+  FC_CHECK_MSG(classifier.ok(), classifier.status().ToString());
+  auto ab = core::AbRecommender::Make();
+  FC_CHECK_MSG(ab.ok(), ab.status().ToString());
+  const Status trained_ab = ab->Train(study.traces);
+  FC_CHECK_MSG(trained_ab.ok(), trained_ab.ToString());
+  TrainedComponents trained;
+  trained.classifier =
+      std::make_unique<core::PhaseClassifier>(std::move(*classifier));
+  trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
+  trained.sb = std::make_unique<core::SbRecommender>(
+      &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
+  return trained;
+}
+
 std::string Pct(double fraction, int precision) {
   return StrFormat("%.*f%%", precision, fraction * 100.0);
 }

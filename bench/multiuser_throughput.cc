@@ -5,10 +5,12 @@
 // This is the workload paper section 6.2 leaves as future work: N users
 // exploring overlapping regions of one dataset through one middleware
 // process. Each session replays a study trace on its own OS thread (up to 8
-// threads), with prefetch fills on the background executor and single-flight
-// dedup of concurrent DBMS fetches. The shared cache should raise the
-// aggregate hit rate over private-only sessions whenever traces overlap —
-// every trace starts at the root and the study tasks revisit the same ROIs.
+// threads), with prefetch fills merged by the cross-session scheduler and
+// single-flight dedup of concurrent DBMS fetches. Private sessions have no
+// shared cache tier, so every session keeps its own copy of each tile. The
+// shared cache should raise the aggregate hit rate over private-only
+// sessions whenever traces overlap — every trace starts at the root and the
+// study tasks revisit the same ROIs.
 
 #include <algorithm>
 #include <chrono>
@@ -18,10 +20,6 @@
 
 #include "common/json_writer.h"
 #include "common/metrics.h"
-#include "core/ab_recommender.h"
-#include "core/allocation.h"
-#include "core/phase_classifier.h"
-#include "core/sb_recommender.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
 
@@ -45,25 +43,14 @@ struct RunResult {
   double p999_us = 0.0;
 };
 
-struct TrainedComponents {
-  std::unique_ptr<core::PhaseClassifier> classifier;
-  std::unique_ptr<core::AbRecommender> ab;
-  std::unique_ptr<core::SbRecommender> sb;
-  core::HybridAllocationStrategy strategy;
-};
-
-RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
+RunResult RunSessions(const sim::Study& study,
+                      const bench::TrainedComponents& trained,
                       std::size_t num_sessions, bool use_shared_cache) {
   SimClock clock;
   array::QueryCostModel costs(array::CalibratedPaperCosts(), 5);
   storage::SimulatedDbmsStore store(study.dataset.pyramid, costs, &clock);
 
-  server::SharedPredictionComponents shared;
-  shared.classifier = trained.classifier.get();
-  shared.ab = trained.ab.get();
-  shared.sb = trained.sb.get();
-  shared.strategy = &trained.strategy;
-  shared.engine_options.prefetch_k = 5;
+  const server::SharedPredictionComponents shared = trained.Shared(5);
 
   constexpr std::size_t kThreads = 8;
   server::SessionManagerOptions options;
@@ -76,7 +63,6 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
   options.shared_cache.l2_bytes =
       64 * study.dataset.pyramid->NominalTileBytes();
   options.shared_cache.num_shards = 16;
-  options.single_flight = true;
   // Latency percentiles come from the production telemetry path, not a
   // bench-side log: every server records into fc.request.latency_us.
   // Declared before the manager so the registry outlives its sources.
@@ -151,20 +137,7 @@ int main() {
       "Battle et al., section 6.2 (multi-user setting, future work)");
   const auto& study = bench::GetStudy();
 
-  TrainedComponents trained;
-  {
-    auto classifier = core::PhaseClassifier::Train(study.traces);
-    auto ab = core::AbRecommender::Make();
-    if (!classifier.ok() || !ab.ok() || !ab->Train(study.traces).ok()) {
-      std::cerr << "ERROR: training failed\n";
-      return 1;
-    }
-    trained.classifier =
-        std::make_unique<core::PhaseClassifier>(std::move(*classifier));
-    trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
-    trained.sb = std::make_unique<core::SbRecommender>(
-        &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
-  }
+  const bench::TrainedComponents trained = bench::TrainComponents(study);
 
   eval::TablePrinter table({"Sessions", "Cache", "Requests", "Req/sec",
                             "Agg hit rate", "p50 us", "p99 us",

@@ -32,10 +32,6 @@
 #include <vector>
 
 #include "common/json_writer.h"
-#include "core/ab_recommender.h"
-#include "core/allocation.h"
-#include "core/phase_classifier.h"
-#include "core/sb_recommender.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
 
@@ -64,13 +60,6 @@ struct RunResult {
   bool books_balance = true;
 };
 
-struct TrainedComponents {
-  std::unique_ptr<core::PhaseClassifier> classifier;
-  std::unique_ptr<core::AbRecommender> ab;
-  std::unique_ptr<core::SbRecommender> sb;
-  core::HybridAllocationStrategy strategy;
-};
-
 /// The coalescing profile both backends run under: DBMS chunks span 4x4
 /// tiles (SciDB chunks hold many tiles — an aligned 16-tile block is one
 /// merged-extent scan) and runs may span gap cells up to 3x the requested
@@ -84,18 +73,14 @@ storage::RangeCoalesceOptions CoalesceProfile() {
   return coalesce;
 }
 
-RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
+RunResult RunSessions(const sim::Study& study,
+                      const bench::TrainedComponents& trained,
                       std::size_t num_sessions, storage::TileStore* store,
                       SimClock* clock, double adjacency_window) {
-  server::SharedPredictionComponents shared;
-  shared.classifier = trained.classifier.get();
-  shared.ab = trained.ab.get();
-  shared.sb = trained.sb.get();
-  shared.strategy = &trained.strategy;
   // Deeper per-move neighborhoods than the accuracy benches use: the 8
   // predicted tiles of one viewport are a spatial cluster, exactly what
   // run planning coalesces.
-  shared.engine_options.prefetch_k = 8;
+  const server::SharedPredictionComponents shared = trained.Shared(8);
 
   constexpr std::size_t kThreads = 8;
   server::SessionManagerOptions options;
@@ -108,8 +93,6 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
   options.shared_cache.num_shards = 4;
   options.shared_cache.admission.policy = core::AdmissionPolicyKind::kTinyLfu;
   options.shared_cache.admission.sketch_counters = 1024;
-  options.single_flight = true;
-  options.use_prefetch_scheduler = true;
   options.prefetch_scheduler.batch.max_batch_tiles = 32;
   options.prefetch_scheduler.batch.adjacency_priority_window = adjacency_window;
   options.prefetch_scheduler.nominal_tile_bytes =
@@ -178,7 +161,8 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
 
 /// One DBMS replay: a fresh store per run so counters and the jitter RNG
 /// start identically in both modes.
-RunResult RunDbms(const sim::Study& study, const TrainedComponents& trained,
+RunResult RunDbms(const sim::Study& study,
+                  const bench::TrainedComponents& trained,
                   std::size_t num_sessions, bool coalesced) {
   SimClock clock;
   array::QueryCostModel costs(array::CalibratedPaperCosts(), 5);
@@ -195,7 +179,8 @@ RunResult RunDbms(const sim::Study& study, const TrainedComponents& trained,
 
 /// One disk replay over the shared packed-extent directory. Each run opens
 /// its own DiskTileStore so syscall counters start at zero.
-RunResult RunDisk(const sim::Study& study, const TrainedComponents& trained,
+RunResult RunDisk(const sim::Study& study,
+                  const bench::TrainedComponents& trained,
                   std::size_t num_sessions, const std::string& directory,
                   bool coalesced) {
   SimClock clock;
@@ -227,20 +212,7 @@ int main() {
       "SciDB chunk-scan amortization; packed-extent preadv on disk");
   const auto& study = bench::GetStudy();
 
-  TrainedComponents trained;
-  {
-    auto classifier = core::PhaseClassifier::Train(study.traces);
-    auto ab = core::AbRecommender::Make();
-    if (!classifier.ok() || !ab.ok() || !ab->Train(study.traces).ok()) {
-      std::cerr << "ERROR: training failed\n";
-      return 1;
-    }
-    trained.classifier =
-        std::make_unique<core::PhaseClassifier>(std::move(*classifier));
-    trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
-    trained.sb = std::make_unique<core::SbRecommender>(
-        &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
-  }
+  const bench::TrainedComponents trained = bench::TrainComponents(study);
 
   // Pack the study pyramid once; every disk run re-opens the same extent.
   const std::string disk_dir =

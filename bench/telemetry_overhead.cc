@@ -25,10 +25,6 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/ab_recommender.h"
-#include "core/allocation.h"
-#include "core/phase_classifier.h"
-#include "core/sb_recommender.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
 
@@ -46,13 +42,6 @@ constexpr int kReps = 3;
 constexpr double kNoiseFloorSec = 0.05;
 constexpr double kMaxOverheadPct = 3.0;
 
-struct TrainedComponents {
-  std::unique_ptr<core::PhaseClassifier> classifier;
-  std::unique_ptr<core::AbRecommender> ab;
-  std::unique_ptr<core::SbRecommender> sb;
-  core::HybridAllocationStrategy strategy;
-};
-
 struct RunResult {
   double elapsed_sec = 0.0;
   std::uint64_t total_requests = 0;
@@ -60,18 +49,14 @@ struct RunResult {
   std::uint64_t trace_events = 0;
 };
 
-RunResult RunOnce(const sim::Study& study, const TrainedComponents& trained,
+RunResult RunOnce(const sim::Study& study,
+                  const bench::TrainedComponents& trained,
                   bool with_telemetry) {
   SimClock clock;
   array::QueryCostModel costs(array::CalibratedPaperCosts(), 5);
   storage::SimulatedDbmsStore store(study.dataset.pyramid, costs, &clock);
 
-  server::SharedPredictionComponents shared;
-  shared.classifier = trained.classifier.get();
-  shared.ab = trained.ab.get();
-  shared.sb = trained.sb.get();
-  shared.strategy = &trained.strategy;
-  shared.engine_options.prefetch_k = 5;
+  const server::SharedPredictionComponents shared = trained.Shared(5);
 
   telemetry::MetricsRegistry registry;
   telemetry::TraceSinkOptions trace_options;
@@ -88,8 +73,6 @@ RunResult RunOnce(const sim::Study& study, const TrainedComponents& trained,
   options.shared_cache.l2_bytes =
       64 * study.dataset.pyramid->NominalTileBytes();
   options.shared_cache.num_shards = 16;
-  options.single_flight = true;
-  options.use_prefetch_scheduler = true;
   options.use_push_streaming = true;
   if (with_telemetry) {
     options.metrics = &registry;
@@ -191,20 +174,7 @@ int main() {
       "registry + adapters + sampled tracing at 64 sessions");
   const auto& study = bench::GetStudy();
 
-  TrainedComponents trained;
-  {
-    auto classifier = core::PhaseClassifier::Train(study.traces);
-    auto ab = core::AbRecommender::Make();
-    if (!classifier.ok() || !ab.ok() || !ab->Train(study.traces).ok()) {
-      std::cerr << "ERROR: training failed\n";
-      return 1;
-    }
-    trained.classifier =
-        std::make_unique<core::PhaseClassifier>(std::move(*classifier));
-    trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
-    trained.sb = std::make_unique<core::SbRecommender>(
-        &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
-  }
+  const bench::TrainedComponents trained = bench::TrainComponents(study);
 
   // Alternate modes within each repetition so drift (thermal, page cache,
   // scheduler) lands on both sides equally; keep the min per mode.

@@ -58,7 +58,7 @@ int main() {
 
   constexpr std::size_t kThreads = 8;
   server::SessionManagerOptions manager_options;
-  manager_options.executor_threads = kThreads;  // background prefetch pool
+  manager_options.executor_threads = kThreads;  // prefetch scheduler pool
   manager_options.use_shared_cache = true;
   // Byte-governed two-tier shared cache: 128 decoded tiles hot (L1) plus a
   // compressed warm tier (L2) that keeps demoted tiles off the DBMS.
@@ -66,7 +66,6 @@ int main() {
   manager_options.shared_cache.l1_bytes = 128 * tile_bytes;
   manager_options.shared_cache.l2_bytes = 32 * tile_bytes;
   manager_options.shared_cache.num_shards = 16;
-  manager_options.single_flight = true;
   server::SessionManager manager(&store, &clock, shared, manager_options);
 
   // One session per study trace — every user's full browsing history

@@ -6,34 +6,30 @@
 // ranked list. Prefetching happens during the user's think time, so only
 // step (1) counts toward response latency.
 //
-// With an Executor attached, step (3) runs as a background task and
-// HandleRequest returns right after steps (1)-(2) — the fill genuinely
-// overlaps think time instead of serializing with the response. A newer
-// request supersedes any still-running fill (generation check), mirroring
-// the paper's "re-filled after every request" semantics without double work.
-//
-// With a PrefetchScheduler attached (the multi-session configuration), the
-// server does not fill its own region at all: it publishes the ranked
-// predictions — tagged with the request generation — into the process-wide
-// queue, which merges them with every other session's, fetches each tile
-// once, and delivers completed fills back through AcceptPrefetched.
+// A server runs step (3) one of two ways:
+//  * synchronous (no scheduler): the fill runs on the request path, right
+//    after the prediction — the single-session reference the paper-figure
+//    replays use;
+//  * scheduled (a PrefetchScheduler attached, the multi-session
+//    configuration): the server publishes the ranked predictions — tagged
+//    with the request generation — into the process-wide queue, which
+//    merges them with every other session's, fetches each tile once in the
+//    background, and delivers completed fills back through
+//    AcceptPrefetched. HandleRequest returns right after steps (1)-(2); a
+//    newer request supersedes the previous generation's undelivered fills.
 //
 // Thread-safety: one server backs one session. HandleRequest and the
-// accessors must be called from that session's thread; the background fill
-// only touches the (internally synchronized) CacheManager, shared cache,
-// scheduler, store, and clock.
+// accessors must be called from that session's thread; scheduler
+// deliveries only touch the (internally synchronized) CacheManager and
+// PushStream.
 
 #ifndef FORECACHE_SERVER_FORECACHE_SERVER_H_
 #define FORECACHE_SERVER_FORECACHE_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "array/cost_model.h"
-#include "common/executor.h"
 #include "common/metrics.h"
 #include "common/sim_clock.h"
 #include "common/trace.h"
@@ -99,43 +95,38 @@ class ForeCacheServer {
   /// null only when options.prefetching_enabled is false; `clock` may be
   /// null only when options.wall_clock supplies the time base instead.
   ///
-  /// `executor` (optional) makes prefetch fills asynchronous; `shared`
-  /// (optional) layers the session cache over a process-wide tile cache;
-  /// `scheduler` (optional) routes predictions through the cross-session
-  /// prefetch queue instead of per-session executor fills (it takes
-  /// precedence over `executor` for prefetching and registers this session
-  /// under options.cache.session_id); `stream_scheduler` (optional,
-  /// requires `scheduler`) routes completed fills through a per-session
-  /// PushStream — progressive chunks under options.push_stream's byte
-  /// budget — instead of landing them in the region whole. All must
-  /// outlive the server.
+  /// `shared` (optional) layers the session cache over a process-wide tile
+  /// cache; `scheduler` (optional) makes prefetch fills asynchronous by
+  /// routing predictions through the cross-session prefetch queue (it
+  /// registers this session under options.cache.session_id);
+  /// `stream_scheduler` (optional, requires `scheduler`) routes completed
+  /// fills through a per-session PushStream — progressive chunks under
+  /// options.push_stream's byte budget — instead of landing them in the
+  /// region whole. All must outlive the server.
   ForeCacheServer(storage::TileStore* store, core::PredictionEngine* engine,
                   SimClock* clock, ServerOptions options = {},
-                  Executor* executor = nullptr,
                   core::SharedTileCache* shared = nullptr,
                   core::PrefetchScheduler* scheduler = nullptr,
                   core::StreamScheduler* stream_scheduler = nullptr);
 
-  /// Joins any in-flight prefetch task before destruction.
+  /// Retires this session's scheduled fills before destruction.
   ~ForeCacheServer();
 
   ForeCacheServer(const ForeCacheServer&) = delete;
   ForeCacheServer& operator=(const ForeCacheServer&) = delete;
 
-  /// Serves one client request end to end. With an executor, returns as
+  /// Serves one client request end to end. With a scheduler, returns as
   /// soon as the tile is served and the prediction made; the region fill
   /// proceeds in the background.
   Result<ServedRequest> HandleRequest(const core::TileRequest& request);
 
-  /// Blocks until no prefetch fill is in flight. Replay harnesses call this
-  /// between moves to model think time fully covering the fill (and to make
-  /// replays deterministic). No-op for synchronous servers.
+  /// Blocks until this session's scheduled fills have settled. Replay
+  /// harnesses call this between moves to model think time fully covering
+  /// the fill. No-op for synchronous servers.
   void WaitForPrefetch();
 
   /// Resets per-session state (cache + engine history) for a new session.
   void StartSession();
-
-  bool async() const { return executor_ != nullptr || scheduler_ != nullptr; }
 
   const core::CacheManager& cache_manager() const { return cache_manager_; }
   core::CacheManager* mutable_cache_manager() { return &cache_manager_; }
@@ -154,15 +145,9 @@ class ForeCacheServer {
   const PushStream* push_stream() const { return stream_.get(); }
 
  private:
-  /// `confidences` parallels `tiles` (the engine's per-rank confidence) so
-  /// background fills carry priority-admission hints into the shared cache.
-  void SchedulePrefetch(core::RankedTiles tiles,
-                        std::vector<double> confidences);
-  /// Supersedes any in-flight fill, then waits for it to settle (session
-  /// reset/teardown: the region is about to be discarded anyway).
+  /// Retires this session's queued fills and waits out its in-flight ones
+  /// (session reset/teardown: the region is about to be discarded anyway).
   void CancelAndWaitForPrefetch();
-  /// Decrements the pending-fill count and wakes waiters.
-  void FinishPendingPrefetch();
 
   storage::TileStore* store_;
   core::PredictionEngine* engine_;
@@ -171,7 +156,6 @@ class ForeCacheServer {
   /// options_.wall_clock when set, else clock_. Never null.
   const Clock* time_;
   ServerOptions options_;
-  Executor* executor_;
   core::PrefetchScheduler* scheduler_;
   core::StreamScheduler* stream_scheduler_;
   /// This session's registration with the scheduler (valid iff scheduler_).
@@ -191,12 +175,9 @@ class ForeCacheServer {
   telemetry::Counter* requests_total_ = nullptr;
   telemetry::Counter* cache_hits_total_ = nullptr;
 
-  /// Monotonic id of the latest request; a background fill aborts once a
-  /// newer request has superseded it.
-  std::atomic<std::uint64_t> prefetch_generation_{0};
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
-  std::size_t pending_prefetches_ = 0;  ///< Guarded by pending_mu_.
+  /// Generation of the latest scheduled fill; deliveries tagged with an
+  /// older one are rejected by the region gate.
+  std::uint64_t prefetch_generation_ = 0;
 };
 
 }  // namespace fc::server

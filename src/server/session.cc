@@ -51,7 +51,6 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
         manager_options.server = options;
         manager_options.executor_threads = 0;
         manager_options.use_shared_cache = false;
-        manager_options.single_flight = false;
         return manager_options;
       }()) {}
 
@@ -83,17 +82,13 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
   if (options_.use_shared_cache) {
     shared_cache_ = std::make_unique<core::SharedTileCache>(options_.shared_cache);
   }
-  if (options_.single_flight) {
-    single_flight_ = std::make_unique<storage::SingleFlightTileStore>(store);
-    store_ = single_flight_.get();
-  }
-  // The scheduler fetches through the same (possibly single-flight-wrapped)
-  // store the sessions use, so demand and prefetch traffic dedup together.
-  // It only exists alongside a shared cache: without one, merged fills
-  // would have nowhere to land once and the "private sessions" baseline
-  // would silently stop being private.
-  if (options_.use_prefetch_scheduler && executor_ != nullptr &&
-      shared_cache_ != nullptr) {
+  single_flight_ = std::make_unique<storage::SingleFlightTileStore>(store);
+  store_ = single_flight_.get();
+  // The scheduler fetches through the same single-flight-wrapped store the
+  // sessions use, so demand and prefetch traffic dedup together. Without a
+  // shared cache it fetches, then only delivers: each subscriber's copy
+  // lands in its own region, so private sessions stay private.
+  if (executor_ != nullptr) {
     // Batch lingering and deadlines age against the same time base the
     // servers measure on — the wall clock in a real deployment, else the
     // virtual clock the stores charge — unless the caller wired an
@@ -110,7 +105,7 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
   }
   // The push channel only exists downstream of the shared queue: it streams
   // the queue's completed fills, so without the scheduler there is nothing
-  // to feed it and sessions keep the PR 8 delivery path bit-identically.
+  // to feed it and fills land in the regions whole.
   if (options_.use_push_streaming && prefetch_scheduler_ != nullptr) {
     core::StreamSchedulerOptions stream_options = options_.stream_scheduler;
     if (stream_options.clock == nullptr) {
@@ -128,12 +123,10 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
     metric_sources_.push_back(telemetry::RegisterLogEventMetrics(options_.metrics));
     metric_sources_.push_back(
         storage::RegisterTileStoreMetrics(options_.metrics, "fc.store", store_));
-    if (single_flight_ != nullptr) {
-      // store_ is the single-flight wrapper; the backend underneath shows
-      // the round trips that actually left the process.
-      metric_sources_.push_back(storage::RegisterTileStoreMetrics(
-          options_.metrics, "fc.store.backend", store));
-    }
+    // store_ is the single-flight wrapper; the backend underneath shows the
+    // round trips that actually left the process.
+    metric_sources_.push_back(storage::RegisterTileStoreMetrics(
+        options_.metrics, "fc.store.backend", store));
     if (shared_cache_ != nullptr) {
       metric_sources_.push_back(core::RegisterSharedTileCacheMetrics(
           options_.metrics, shared_cache_.get()));
@@ -181,8 +174,8 @@ BrowserSession* SessionManager::GetOrCreate(const std::string& session_id) {
   ServerOptions server_options = options_.server;
   server_options.cache.session_id = ++next_session_number_;
   state.server = std::make_unique<ForeCacheServer>(
-      store_, state.engine.get(), clock_, server_options, executor_.get(),
-      shared_cache_.get(), prefetch_scheduler_.get(), stream_scheduler_.get());
+      store_, state.engine.get(), clock_, server_options, shared_cache_.get(),
+      prefetch_scheduler_.get(), stream_scheduler_.get());
   state.browser = std::make_unique<BrowserSession>(state.server.get());
   auto [inserted, _] = sessions_.emplace(session_id, std::move(state));
   return inserted->second.browser.get();

@@ -4,9 +4,9 @@
 // tracks the user's current tile and translates pans/zooms into tile
 // requests against a ForeCacheServer. SessionManager hosts many concurrent
 // sessions over one shared tile store (paper section 6.2 raises the
-// multi-user setting as future work): it owns the background prefetch
-// executor, a process-wide SharedTileCache every session layers over, a
-// single-flight store wrapper deduplicating concurrent DBMS fetches, and a
+// multi-user setting as future work): it owns the background executor, a
+// process-wide SharedTileCache every session layers over, a single-flight
+// store wrapper deduplicating concurrent DBMS fetches, and a
 // PrefetchScheduler merging overlapping predictions across sessions into
 // one priority queue — and it can drive session workloads from a pool of
 // real OS threads.
@@ -78,55 +78,36 @@ struct SharedPredictionComponents {
 struct SessionManagerOptions {
   ServerOptions server;
 
-  /// Size of the background prefetch pool. 0 disables async prefetch
-  /// (fills run synchronously on the request path, the pre-refactor
-  /// behavior).
+  /// Size of the background pool the prefetch scheduler fills on. Any
+  /// value > 0 builds a PrefetchScheduler: sessions publish their ranked
+  /// predictions into one process-wide queue, where overlapping predictions
+  /// merge into a single fill ordered by aggregate confidence x
+  /// subscribed-session count. 0 disables async prefetch (fills run
+  /// synchronously on the request path, the single-session reference).
   std::size_t executor_threads = 8;
 
   /// When true, sessions layer over one process-wide SharedTileCache so
-  /// they reuse each other's fetched tiles.
+  /// they reuse each other's fetched tiles and merged fills land there
+  /// once. False keeps every session's tiles private: the scheduler still
+  /// merges prefetch fetches, but only delivers them to each subscriber's
+  /// own region.
   bool use_shared_cache = true;
   core::SharedTileCacheOptions shared_cache;
 
-  /// When true, concurrent fetches of the same key are collapsed into one
-  /// upstream query (SingleFlightTileStore).
-  bool single_flight = true;
-
-  /// When true (and the executor and shared cache are both enabled),
-  /// sessions publish their ranked predictions into one process-wide
-  /// PrefetchScheduler instead of each filling its own region: overlapping
-  /// predictions merge into a single fill ordered by aggregate confidence x
-  /// subscribed-session count. False restores per-session executor fills.
-  ///
-  /// Batched backend I/O rides here too: set prefetch_scheduler.batch
-  /// (storage::BatchProfile) to let each drain round pop the top-k pending
-  /// fills into one backend round trip — the manager wires its SimClock
-  /// into the scheduler so batch.max_linger_ms ages against virtual time.
-  /// The default profile (max_batch_tiles = 1) keeps the per-tile drain.
-  ///
-  /// Deadline-aware draining: set prefetch_scheduler.deadline_aware to
-  /// bound per-session staleness under saturation. Every session's server
-  /// already tracks its think time (server.think_time — see
-  /// server/think_time.h) and publishes the estimate with each
-  /// prediction; the auto-wired clock turns those estimates into
-  /// deadlines. Off (the default), the estimates are published but
-  /// ignored and drain order is bit-identical to the utility-only
-  /// scheduler.
-  ///
-  /// Per-session fairness shares: set prefetch_scheduler.fairness_share to
-  /// reserve that fraction of every drain round for a weighted
-  /// deficit-round-robin slice across sessions with pending work, so a
-  /// session whose predictions keep losing the utility vote still makes
-  /// progress (core/prefetch_scheduler.h). 0 (the default) keeps drain
-  /// order bit-identical to the shares-less scheduler.
-  ///
-  /// Real deployments: set server.wall_clock (and leave
-  /// prefetch_scheduler.clock null) to run think-time gaps, deadlines, and
-  /// linger aging against monotonic wall time instead of the SimClock.
-  bool use_prefetch_scheduler = true;
+  /// The scheduler's knobs (core/prefetch_scheduler.h); the manager wires
+  /// its time base (server.wall_clock, else the SimClock) unless `clock`
+  /// is set. All default to the plain utility-ordered, one-tile drain:
+  ///  * batch (storage::BatchProfile): pop the top-k pending fills into one
+  ///    backend round trip, lingering up to batch.max_linger_ms;
+  ///  * deadline_aware: drain by the think-time deadlines every server
+  ///    publishes with its predictions (server.think_time), bounding
+  ///    per-session staleness under saturation;
+  ///  * fairness_share: reserve that fraction of every drain round for a
+  ///    weighted deficit-round-robin slice across sessions with pending
+  ///    work.
   core::PrefetchSchedulerOptions prefetch_scheduler;
 
-  /// Continuous push streaming (requires the prefetch scheduler): completed
+  /// Continuous push streaming (requires executor_threads > 0): completed
   /// fills detour through a process-wide StreamScheduler that splits them
   /// into progressive chunks and pushes them to each session under
   /// server.push_stream's byte budget, coarse-usable first
@@ -142,8 +123,8 @@ struct SessionManagerOptions {
   /// caller already wired that layer explicitly — and registers pull-mode
   /// snapshot sources for the shared cache (fc.cache.*), the prefetch
   /// scheduler (fc.prefetch.*), the stream scheduler (fc.stream.*), the
-  /// store sessions fetch through (fc.store.*; when single-flight wraps the
-  /// backend, fc.store.backend.* covers the real round trips underneath),
+  /// single-flight store sessions fetch through (fc.store.*, with
+  /// fc.store.backend.* covering the real round trips underneath),
   /// and the logging event counters (fc.log.*) — so ONE
   /// MetricsRegistry::Snapshot() covers the whole serving stack. The
   /// registry and sink must outlive the manager; its destructor removes
@@ -157,8 +138,9 @@ struct SessionManagerOptions {
 class SessionManager {
  public:
   /// Legacy single-threaded setup: no executor, no shared cache — every
-  /// session is fully private and prefetch is synchronous. `store` and
-  /// everything in `shared` must outlive the manager.
+  /// session is fully private and prefetch is synchronous (the single-flight
+  /// wrapper is a passthrough on one thread). `store` and everything in
+  /// `shared` must outlive the manager.
   SessionManager(storage::TileStore* store, SimClock* clock,
                  SharedPredictionComponents shared, ServerOptions options = {});
 
@@ -205,13 +187,13 @@ class SessionManager {
 
   /// Null when the manager was built without a shared cache.
   const core::SharedTileCache* shared_cache() const { return shared_cache_.get(); }
-  /// Null when single-flight dedup is disabled.
+  /// The single-flight wrapper every session and the scheduler fetch
+  /// through.
   const storage::SingleFlightTileStore* single_flight_store() const {
     return single_flight_.get();
   }
   Executor* executor() { return executor_.get(); }
-  /// Null when the cross-session scheduler is disabled (see
-  /// SessionManagerOptions::use_prefetch_scheduler).
+  /// Null iff SessionManagerOptions::executor_threads == 0.
   const core::PrefetchScheduler* prefetch_scheduler() const {
     return prefetch_scheduler_.get();
   }
@@ -229,7 +211,7 @@ class SessionManager {
   };
 
   storage::TileStore* store_;  ///< The store sessions fetch through
-                               ///< (single-flight wrapper when enabled).
+                               ///< (the single-flight wrapper).
   SimClock* clock_;
   SharedPredictionComponents shared_;
   SessionManagerOptions options_;
@@ -237,9 +219,9 @@ class SessionManager {
   // Destruction order matters: the destructor body shuts the scheduler
   // down first (cross-session fills must settle while every session they
   // might deliver to is alive), then sessions_ (declared last, destroyed
-  // first) joins per-session prefetch tasks, which run on executor_ and
-  // touch prefetch_scheduler_, shared_cache_, and single_flight_ — so
-  // those members are declared (and stay alive) ahead of it.
+  // first) unregisters each server from prefetch_scheduler_ and
+  // stream_scheduler_ and drops its cache layered over shared_cache_ —
+  // so those members are declared (and stay alive) ahead of it.
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<core::SharedTileCache> shared_cache_;
   std::unique_ptr<storage::SingleFlightTileStore> single_flight_;

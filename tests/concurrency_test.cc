@@ -255,7 +255,6 @@ TEST(MultiSessionStressTest, ConcurrentReplayMatchesSingleThreaded) {
   options.use_shared_cache = true;
   // Effectively unbounded: no evictions or demotions during the test.
   options.shared_cache.l1_bytes = 64ull << 20;
-  options.single_flight = true;
   SessionManager manager(&concurrent_store, &concurrent_clock, shared, options);
 
   std::vector<SessionManager::SessionWorkload> workloads;
@@ -476,7 +475,6 @@ TEST(MultiSessionStressTest, ServingStackPlumbsIdentityAndConfidence) {
   // the engine's confidences actually reaching the cache.
   options.shared_cache.admission.priority_confidence = 0.5;
   options.shared_cache.session_quota_bytes = 4 * 8 * 8 * sizeof(double);
-  options.single_flight = true;
   SessionManager manager(&store, &clock, shared, options);
 
   std::vector<SessionManager::SessionWorkload> workloads;
@@ -550,7 +548,6 @@ TEST(MultiSessionStressTest, SharedCacheBeatsPrivateOnOverlappingTraces) {
     options.executor_threads = 4;
     options.use_shared_cache = use_shared_cache;
     options.shared_cache.l1_bytes = 64ull << 20;
-    options.single_flight = true;
     auto manager =
         std::make_unique<SessionManager>(store, &clock, shared, options);
     std::vector<SessionManager::SessionWorkload> workloads;
@@ -572,6 +569,17 @@ TEST(MultiSessionStressTest, SharedCacheBeatsPrivateOnOverlappingTraces) {
   EXPECT_GT(aggregate_hit_rate(*shared_manager),
             aggregate_hit_rate(*private_manager));
   EXPECT_LT(shared_store.fetch_count(), private_store.fetch_count());
+
+  // "Private" means no shared cache tier, not no scheduler: the private
+  // sessions' prefetch fetches still merge in the cross-session queue, and
+  // with every session's fills waited out its books balance exactly.
+  ASSERT_EQ(private_manager->shared_cache(), nullptr);
+  const auto* private_scheduler = private_manager->prefetch_scheduler();
+  ASSERT_NE(private_scheduler, nullptr);
+  const auto stats = private_scheduler->Stats();
+  EXPECT_GT(stats.predictions_published, 0u);
+  EXPECT_EQ(stats.fills_issued + stats.dedup_saved_fetches,
+            stats.predictions_published);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,7 +626,6 @@ void RunTeardownUnderInFlightMergedFills(bool deadline_aware) {
   options.executor_threads = 4;
   options.use_shared_cache = true;
   options.shared_cache.l1_bytes = 64ull << 20;
-  options.single_flight = true;
   options.prefetch_scheduler.max_in_flight = 4;
   if (deadline_aware) {
     // Deadline mode with deadlines that expire almost immediately on the

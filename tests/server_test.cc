@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/executor.h"
 #include "core/ab_recommender.h"
 #include "core/allocation.h"
+#include "core/prefetch_scheduler.h"
+#include "core/shared_tile_cache.h"
 #include "server/forecache_server.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
@@ -164,14 +167,21 @@ TEST(ForeCacheServerTest, AsyncPrefetchFillsDuringThinkTime) {
                                 &parts.strategy, engine_options);
   ServerOptions options;
   options.cache.prefetch_bytes = 9 * kTileBytes;  // room for every neighbor
-  Executor executor(2);  // outlives the server (joined prefetch tasks)
-  ForeCacheServer server(&store, &engine, &clock, options, &executor);
-  ASSERT_TRUE(server.async());
+  // Declared before the server so they outlive it (the server unregisters
+  // from the scheduler on destruction).
+  Executor executor(2);
+  core::SharedTileCache shared_cache;
+  core::PrefetchScheduler scheduler(&store, &executor, &shared_cache);
+  ForeCacheServer server(&store, &engine, &clock, options, &shared_cache,
+                         &scheduler);
   server.StartSession();
 
-  ASSERT_TRUE(server.HandleRequest(Req({0, 0, 0}, std::nullopt)).ok());
-  // Think time: the background fill completes before the next move.
+  auto root = server.HandleRequest(Req({0, 0, 0}, std::nullopt));
+  ASSERT_TRUE(root.ok());
+  ASSERT_FALSE(root->prediction.tiles.empty());
+  // Think time: the scheduler's background fills land before the next move.
   server.WaitForPrefetch();
+  EXPECT_GT(scheduler.Stats().deliveries, 0u);
   auto zoomed = server.HandleRequest(Req({1, 0, 0}, core::Move::kZoomInNW));
   ASSERT_TRUE(zoomed.ok());
   EXPECT_TRUE(zoomed->cache_hit);
@@ -185,10 +195,8 @@ TEST(ForeCacheServerTest, SharedCacheHitCostsMiddlewareTime) {
   core::SharedTileCache shared_cache;
   ServerOptions options;
   options.prefetching_enabled = false;
-  ForeCacheServer warmer(&store, nullptr, &clock, options, nullptr,
-                         &shared_cache);
-  ForeCacheServer server(&store, nullptr, &clock, options, nullptr,
-                         &shared_cache);
+  ForeCacheServer warmer(&store, nullptr, &clock, options, &shared_cache);
+  ForeCacheServer server(&store, nullptr, &clock, options, &shared_cache);
   warmer.StartSession();
   server.StartSession();
 

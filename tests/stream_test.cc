@@ -742,7 +742,6 @@ TEST(StreamSchedulerStressTest, TeardownUnderInFlightStreamPushes) {
   options.executor_threads = 4;
   options.use_shared_cache = true;
   options.shared_cache.l1_bytes = 64ull << 20;
-  options.single_flight = true;
   options.prefetch_scheduler.max_in_flight = 4;
   options.use_push_streaming = true;
   options.stream_scheduler.codec.progressive_base_step = 8.0;
